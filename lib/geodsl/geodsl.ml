@@ -281,13 +281,15 @@ let load_csv_dir ~(cat : Catalog.t) (dir : string) : Storage.Database.t =
       | [ _ ] -> Storage.Database.add db ~table:name rel
       | ps ->
         let k = List.length ps in
+        (* the loaded relation is column-major: build its row view once *)
+        let all_rows = Storage.Relation.rows rel in
         List.iteri
           (fun i _ ->
             let rows =
               Array.of_seq
                 (Seq.filter_map
                    (fun (j, row) -> if j mod k = i then Some row else None)
-                   (Array.to_seqi (Storage.Relation.rows rel)))
+                   (Array.to_seqi all_rows))
             in
             Storage.Database.add db ~table:name ~partition:i
               (Storage.Relation.make ~schema ~rows))

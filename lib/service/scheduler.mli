@@ -39,8 +39,8 @@ type env = {
   faults : Catalog.Network.Fault.schedule;
   retry : Exec.Interp.retry_policy;
   engine : Exec.Engine.t;
-      (** executor every session runs on (reference interpreter or the
-          compiling engine — byte-identical, see [docs/EXECUTOR.md]) *)
+      (** executor every session runs on (the vectorized engine or the
+          reference interpreter — byte-identical, see [docs/EXECUTOR.md]) *)
   resolve_query : string -> string;
       (** maps a submitted name (e.g. [Q3]) to SQL; identity for plain
           SQL *)
@@ -62,8 +62,8 @@ val env :
   unit ->
   env
 (** Environment with identity resolvers, no cache and no faults unless
-    given; [engine] defaults to {!Exec.Engine.default} (honoring
-    [CGQP_ENGINE]). *)
+    given; [engine] defaults to {!Exec.Engine.default} (the vectorized
+    engine unless [CGQP_ENGINE] names the reference interpreter). *)
 
 val max_queue_retries : int
 (** Re-admission attempts before a queued statement is recorded as

@@ -15,11 +15,11 @@ type t = { mutable store : Relation.t Key_map.t }
 let create () = { store = Key_map.empty }
 
 let add t ~table ?(partition = 0) rel =
-  (* Stored base tables are the vectorized engine's scan inputs:
-     columnarize once at load time so no query pays the conversion.
-     (No-op for paged relations, which page in per access.) *)
-  Relation.columnarize rel;
-  t.store <- Key_map.add (String.lowercase_ascii table, partition) rel t.store
+  (* Stored base tables are the vectorized engine's scan inputs: store
+     them column-major only, converted once at load time, so no query
+     pays the conversion and no boxed row copy stays resident. *)
+  t.store <-
+    Key_map.add (String.lowercase_ascii table, partition) (Relation.columnar rel) t.store
 
 let find t ~table ?(partition = 0) () =
   Key_map.find_opt (String.lowercase_ascii table, partition) t.store

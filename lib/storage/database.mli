@@ -6,6 +6,9 @@ type t
 
 val create : unit -> t
 val add : t -> table:string -> ?partition:int -> Relation.t -> unit
+(** Store a relation column-major ({!Relation.columnar}): a row-built
+    relation is converted once here and its rows are not retained. *)
+
 val find : t -> table:string -> ?partition:int -> unit -> Relation.t option
 
 val find_exn : t -> table:string -> ?partition:int -> unit -> Relation.t

@@ -1,14 +1,15 @@
 (* An in-memory materialized relation: a schema of qualified column
-   names over column-major storage (one [Column.t] per attribute, see
-   column.ml), with a row-view shim for the row-at-a-time engines.
+   names over exactly one stored representation, chosen when it is
+   built — rows ([make]), columns ([of_cols], one [Column.t] per
+   attribute, see column.ml) or a pager over disk segments ([paged]).
 
-   A relation can be constructed from rows ([make]) or from columns
-   ([of_cols]); the other representation is materialized lazily on
-   first access and cached. Relations are immutable, so the caches are
-   safe to share; the row-at-a-time engines ([Interp], [Compile]) pay
-   no conversion cost on intermediates they build and consume as rows,
-   while the vectorized engine reads stored base tables column-major
-   (the conversion happens once per stored relation, not per query). *)
+   The reference interpreter builds and consumes its intermediates as
+   rows; the vectorized engine reads stored base tables and builds its
+   results as columns. Asking a relation for the representation it
+   does not hold builds that view on each call, uncached: [Database.add]
+   stores columns only, so the row views the reference engine, geodsl
+   and result printing ask for are transient garbage, never a second
+   resident copy of a stored table. *)
 
 open Relalg
 
@@ -58,28 +59,26 @@ let lookup_of_schema schema : Attr.t -> Value.t array -> Value.t =
     | Some ix when ix < Array.length row -> row.(ix)
     | Some _ | None -> Value.Null
 
+type repr =
+  | Rows of Value.t array array
+  | Cols of Column.t array
+  | Paged of (unit -> Column.t array)
+      (* [load ()] pages the full column set in from disk on every
+         access — the out-of-core contract (the resident working set
+         stays the operator's output, not the base table). *)
+
 type t = {
   schema : Attr.t list;
   width : int;
   card : int;
-  mutable rows_v : Value.t array array option;  (* row-view cache *)
-  mutable cols_v : Column.t array option;  (* column-major cache *)
+  repr : repr;
   mutable index_v : resolver option;
-      (* built on first lookup; operators that never resolve names
-         (e.g. the compiled engine's intermediates) pay nothing.
-
-         All three memo fields are benign races under domains: the
-         cached value is a pure function of the immutable schema/rows,
-         so concurrent fills compute equal content and a torn winner is
-         impossible (option-pointer writes are atomic in the OCaml
+      (* built on first lookup; relations that never resolve names pay
+         nothing. A benign race under domains: the resolver is a pure
+         function of the immutable schema, so concurrent fills compute
+         equal content (option-pointer writes are atomic in the OCaml
          memory model). Deliberately NOT Lazy.t — forcing a Lazy from
          two domains at once raises Lazy.Undefined. *)
-  pager : (unit -> Column.t array) option;
-      (* [Some load] = disk-backed (segment store): [load ()] pages the
-         full column set in from disk. Paged relations never cache a
-         materialized view — every [rows]/[cols] access re-reads, which
-         is the out-of-core contract (resident working set stays the
-         operator's output, not the base table). *)
 }
 
 let make ~schema ~rows =
@@ -88,8 +87,7 @@ let make ~schema ~rows =
     (fun r ->
       if Array.length r <> n then invalid_arg "Relation.make: row arity mismatch")
     rows;
-  { schema; width = n; card = Array.length rows; rows_v = Some rows; cols_v = None;
-    index_v = None; pager = None }
+  { schema; width = n; card = Array.length rows; repr = Rows rows; index_v = None }
 
 let of_cols ~schema ~card cols =
   let n = List.length schema in
@@ -99,57 +97,43 @@ let of_cols ~schema ~card cols =
       if Column.length c <> card then
         invalid_arg "Relation.of_cols: column cardinality mismatch")
     cols;
-  { schema; width = n; card; rows_v = None; cols_v = Some cols; index_v = None;
-    pager = None }
+  { schema; width = n; card; repr = Cols cols; index_v = None }
 
 let paged ~schema ~card ~load =
-  { schema; width = List.length schema; card; rows_v = None; cols_v = None;
-    index_v = None; pager = Some load }
+  { schema; width = List.length schema; card; repr = Paged load; index_v = None }
 
-let is_paged t = t.pager <> None
+let is_paged t = match t.repr with Paged _ -> true | Rows _ | Cols _ -> false
 
 let empty ~schema = make ~schema ~rows:[||]
 let schema t = t.schema
 let cardinality t = t.card
 
-(* The row-view shim: row-major [Value.t array array], materialized
-   from the columns on first access and cached. Callers must not
-   mutate the result. *)
 let rows_of_cols t cols =
   Array.init t.card (fun i -> Array.init t.width (fun j -> Column.get cols.(j) i))
 
+let cols_of_rows t rows =
+  Array.init t.width (fun j -> Column.of_values (Array.init t.card (fun i -> rows.(i).(j))))
+
+(* The row view: the stored rows, or a fresh boxed copy of the columns
+   on every call. Callers must not mutate the result. *)
 let rows t =
-  match t.rows_v with
-  | Some rows -> rows
-  | None -> (
-    match t.pager with
-    | Some load -> rows_of_cols t (load ()) (* paged: never cached *)
-    | None ->
-      let cols = match t.cols_v with Some c -> c | None -> assert false in
-      let rows = rows_of_cols t cols in
-      t.rows_v <- Some rows;
-      rows)
+  match t.repr with
+  | Rows rows -> rows
+  | Cols cols -> rows_of_cols t cols
+  | Paged load -> rows_of_cols t (load ())
 
-(* Column-major view, materialized from the rows on first access and
-   cached; stored base tables are columnarized up front by
-   [Database.add], so queries never pay this. Paged relations re-read
-   from disk on every access and cache nothing. *)
+(* The column view: the stored columns, or freshly built from the rows
+   (or paged in from disk) on every call. *)
 let cols t =
-  match t.cols_v with
-  | Some cols -> cols
-  | None -> (
-    match t.pager with
-    | Some load -> load ()
-    | None ->
-      let rows = match t.rows_v with Some r -> r | None -> assert false in
-      let cols =
-        Array.init t.width (fun j ->
-            Column.of_values (Array.init t.card (fun i -> rows.(i).(j))))
-      in
-      t.cols_v <- Some cols;
-      cols)
+  match t.repr with
+  | Cols cols -> cols
+  | Rows rows -> cols_of_rows t rows
+  | Paged load -> load ()
 
-let columnarize t = if t.pager = None then ignore (cols t)
+let columnar t =
+  match t.repr with
+  | Rows rows -> { t with repr = Cols (cols_of_rows t rows) }
+  | Cols _ | Paged _ -> t
 
 let index t =
   match t.index_v with
@@ -170,18 +154,16 @@ let lookup_fn t : Attr.t -> Value.t array -> Value.t =
     | Some ix when ix < Array.length row -> row.(ix)
     | Some _ | None -> Value.Null
 
-(* Total serialized size in bytes (what a SHIP of this relation moves).
-   Computed on whichever representation is materialized — both sum
-   [Value.byte_width] over every cell, so they agree. *)
+(* Total serialized size in bytes (what a SHIP of this relation moves):
+   [Value.byte_width] summed over every cell, whichever the layout. *)
 let byte_size t =
-  match t.cols_v with
-  | Some cols -> Array.fold_left (fun acc c -> acc + Column.byte_size c) 0 cols
-  | None when t.pager <> None ->
-    Array.fold_left (fun acc c -> acc + Column.byte_size c) 0 (cols t)
-  | None ->
+  match t.repr with
+  | Rows rows ->
     Array.fold_left
       (fun acc row -> Array.fold_left (fun acc v -> acc + Value.byte_width v) acc row)
-      0 (rows t)
+      0 rows
+  | Cols _ | Paged _ ->
+    Array.fold_left (fun acc c -> acc + Column.byte_size c) 0 (cols t)
 
 (* Order rows by the given (attribute, descending) keys. Key positions
    are resolved once; unknown attributes read as NULL for every row. *)
@@ -205,18 +187,21 @@ let order_by t (keys : (Attr.t * bool) list) =
   Array.stable_sort cmp rows;
   make ~schema:t.schema ~rows
 
-(* First [n] rows. *)
+(* First [n] rows, in the relation's own layout. *)
 let take t n =
   if cardinality t <= n then t
-  else make ~schema:t.schema ~rows:(Array.sub (rows t) 0 n)
+  else
+    match t.repr with
+    | Rows rows -> make ~schema:t.schema ~rows:(Array.sub rows 0 n)
+    | Cols _ | Paged _ ->
+      let ixs = Array.init n Fun.id in
+      of_cols ~schema:t.schema ~card:n (Array.map (fun c -> Column.gather c ixs) (cols t))
 
 let pp ?(max_rows = 20) ppf t =
   Fmt.pf ppf "%a@." Fmt.(list ~sep:(any " | ") Attr.pp) t.schema;
-  Array.iteri
-    (fun i row ->
-      if i < max_rows then
-        Fmt.pf ppf "%a@." Fmt.(array ~sep:(any " | ") Value.pp) row)
-    (rows t);
+  Array.iter
+    (fun row -> Fmt.pf ppf "%a@." Fmt.(array ~sep:(any " | ") Value.pp) row)
+    (rows (take t (max 0 max_rows)));
   if cardinality t > max_rows then Fmt.pf ppf "... (%d rows)@." (cardinality t)
 
 let to_csv t =

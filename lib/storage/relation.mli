@@ -1,8 +1,9 @@
 (** In-memory materialized relations: a schema of qualified column
-    names over column-major storage ({!Column.t} per attribute), with
-    a cached row-view shim for the row-at-a-time engines. A relation
-    can be built from either representation; the other is materialized
-    lazily on first access. *)
+    names over exactly one stored representation, chosen when the
+    relation is built — rows ({!make}), columns ({!of_cols}, one
+    {!Column.t} per attribute) or a disk pager ({!paged}). The view a
+    relation does not hold is built on each {!rows}/{!cols} call and
+    never cached, so a relation never keeps two copies of its data. *)
 
 open Relalg
 
@@ -24,21 +25,19 @@ val lookup_of_schema : Attr.t list -> Attr.t -> Value.t array -> Value.t
 type t
 
 val make : schema:Attr.t list -> rows:Value.t array array -> t
-(** Build from rows (the row view is the stored representation; columns
-    materialize on first {!cols}). Raises [Invalid_argument] if some
+(** Build from rows, which become the stored representation. Raises [Invalid_argument] if some
     row's arity differs from the schema. *)
 
 val of_cols : schema:Attr.t list -> card:int -> Column.t array -> t
-(** Build from columns. [card] is the row count (needed explicitly for
+(** Build from columns, which become the stored representation. [card] is the row count (needed explicitly for
     width-0 relations). Raises [Invalid_argument] on arity or
     cardinality mismatch. *)
 
 val paged : schema:Attr.t list -> card:int -> load:(unit -> Column.t array) -> t
 (** A disk-backed relation: [load ()] pages the full column set in (in
-    schema order, each of length [card]). Paged relations never cache a
-    materialized view — every {!rows}/{!cols} access re-reads through
-    [load], so the resident working set is only what operators
-    materialize, not the base table. See {!Segment.relation}. *)
+    schema order, each of length [card]). Every {!rows}/{!cols} access
+    re-reads through [load], so the resident working set is only what
+    operators materialize, not the base table. See {!Segment.relation}. *)
 
 val is_paged : t -> bool
 
@@ -46,17 +45,19 @@ val empty : schema:Attr.t list -> t
 val schema : t -> Attr.t list
 
 val rows : t -> Value.t array array
-(** The row-view shim: materialized from the columns on first access
-    and cached. Treat the result as read-only. *)
+(** The row view: the stored rows of a row relation, otherwise a fresh
+    boxed copy built on every call (two calls return equal, distinct
+    arrays). Treat the result as read-only. *)
 
 val cols : t -> Column.t array
-(** Column-major view: materialized from the rows on first access and
-    cached. Stored base tables are columnarized up front by
-    {!Database.add}. *)
+(** The column view: the stored columns of a column relation, otherwise
+    built from the rows (or paged in) on every call. *)
 
-val columnarize : t -> unit
-(** Force the column-major view to be materialized now. No-op on paged
-    relations, which deliberately never cache. *)
+val columnar : t -> t
+(** The same relation stored column-major: a row relation is converted
+    (its rows are not retained by the result); column and paged
+    relations are returned as they are. {!Database.add} stores every
+    relation this way. *)
 
 val cardinality : t -> int
 
@@ -73,7 +74,7 @@ val order_by : t -> (Attr.t * bool) list -> t
     read as NULL and sort first. *)
 
 val take : t -> int -> t
-(** First [n] rows. *)
+(** First [n] rows, in the relation's own representation. *)
 
 val byte_size : t -> int
 (** Total serialized size — what a SHIP of this relation moves. *)
